@@ -27,8 +27,8 @@
 //! immediately). The store directory comes from `--store`, else
 //! `$WLCRC_STORE`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use wlcrc_bench::figures::runner_plan;
 use wlcrc_memsim::{ExperimentPlan, ExperimentResult, STORE_ENV};
@@ -122,32 +122,25 @@ fn main() {
     });
 
     // Progress reporter: while workers run, print the engine's registry
-    // counters every couple of seconds. Short runs finish before the first
-    // tick and emit only the final report.
-    let running = Arc::new(AtomicBool::new(true));
-    let ticker = {
-        let running = Arc::clone(&running);
-        std::thread::spawn(move || {
-            let started = std::time::Instant::now();
-            let metrics = wlcrc_memsim::grid_metrics();
-            let mut ticks = 0u32;
-            while running.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(250));
-                ticks += 1;
-                if ticks.is_multiple_of(8) {
-                    eprintln!(
-                        "wlcrc-gridrun: progress computed {} served {} stolen {} ({:.0}s)",
-                        metrics.computed.get(),
-                        metrics.served.get(),
-                        metrics.stolen.get(),
-                        started.elapsed().as_secs_f64()
-                    );
-                }
-            }
-        })
-    };
+    // counters every couple of seconds. Dropping the sender wakes and ends
+    // it at once, so short runs exit without waiting out a tick and emit
+    // only the final report.
+    let (done, finished) = mpsc::channel::<()>();
+    let ticker = std::thread::spawn(move || {
+        let started = std::time::Instant::now();
+        let metrics = wlcrc_memsim::grid_metrics();
+        while let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(2)) {
+            eprintln!(
+                "wlcrc-gridrun: progress computed {} served {} stolen {} ({:.0}s)",
+                metrics.computed.get(),
+                metrics.served.get(),
+                metrics.stolen.get(),
+                started.elapsed().as_secs_f64()
+            );
+        }
+    });
     let (results, report) = plan.store(&store).run_grid_claimed(stale_secs);
-    running.store(false, Ordering::Relaxed);
+    drop(done);
     let _ = ticker.join();
     eprintln!(
         "wlcrc-gridrun: cells computed {} served {} stolen {} plan_hits {}",

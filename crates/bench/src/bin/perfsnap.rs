@@ -1,6 +1,6 @@
 //! `perfsnap` — the repository's performance-trajectory snapshot.
 //!
-//! Runs the codec, plan and stream throughput suites on deterministic
+//! Runs the codec, plan, store, scale and serve suites on deterministic
 //! workloads and **appends** one JSON entry (git revision, wall clock,
 //! writes/sec per scheme, kernel-vs-scalar speedups, and the persistent
 //! result store's cold-vs-warm plan wall clocks) to `BENCH_codec.json`,
@@ -16,9 +16,7 @@
 //! For every coset-style scheme the snapshot measures both the production
 //! bit-parallel kernel (`encode`) and the retained scalar oracle
 //! (`encode_scalar`), recording the speedup — this is the number the
-//! "≥2× on coset-heavy schemes" acceptance gate reads. A batched suite
-//! additionally times [`LineCodec::encode_batch`] at 1/8/64 lines per call
-//! to track the amortisation the batch API buys.
+//! "≥2× on coset-heavy schemes" acceptance gate reads.
 //!
 //! `--check` turns the snapshot into an enforced regression gate: the codec
 //! suite is measured best-of-3 and compared against the **last** entry in
@@ -27,7 +25,8 @@
 //! run with a non-zero exit. The serve suite is gated the same way —
 //! best-of-3 `requests_per_sec` (must not drop >15%) and best-of-3
 //! `p99_batch_ms` (must not grow >15%) against the recorded serve row.
-//! Nothing is appended in check mode.
+//! The recorded rows are read with `wlcrc_obs::check::parse_json`, the
+//! workspace's one JSON reader. Nothing is appended in check mode.
 //!
 //! The store suite separates the three cache layers: per-cell warm hits
 //! (plan cache off), and the plan-level hit where the whole grid is served
@@ -44,6 +43,7 @@ use wlcrc_coset::{
     DinCodec, FlipMinCodec, FnwCodec, Granularity, NCosetsCodec, RestrictedCosetCodec,
 };
 use wlcrc_memsim::{ExperimentPlan, SimulationOptions};
+use wlcrc_obs::check::{parse_json, Json};
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::config::PcmConfig;
 use wlcrc_pcm::energy::EnergyModel;
@@ -573,58 +573,39 @@ struct BaselineRow {
     decode_rps: Option<f64>,
 }
 
-/// Extracts a quoted string field from a single JSON row.
-fn field_str(row: &str, key: &str) -> Option<String> {
-    let start = row.find(key)? + key.len();
-    let rest = &row[start..];
-    Some(rest[..rest.find('"')?].to_string())
+/// The entries of the trajectory file at `path`, oldest first.
+fn trajectory(path: &str) -> Vec<Json> {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    match parse_json(&text) {
+        Ok(Json::Arr(entries)) => entries,
+        _ => Vec::new(),
+    }
 }
 
-/// Extracts a numeric field from a single JSON row.
-fn field_num(row: &str, key: &str) -> Option<f64> {
-    let start = row.find(key)? + key.len();
-    let rest = &row[start..];
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The codec rows of a trajectory entry.
+fn entry_codecs(entry: &Json) -> Option<Vec<BaselineRow>> {
+    let Some(Json::Arr(rows)) = entry.get("codecs") else { return None };
+    let rows: Vec<BaselineRow> = rows
+        .iter()
+        .filter_map(|row| {
+            Some(BaselineRow {
+                name: row.get("name")?.as_str()?.to_string(),
+                encode_wps: row.get("encode_writes_per_sec")?.as_f64()?,
+                decode_rps: row.get("decode_reads_per_sec").and_then(Json::as_f64),
+            })
+        })
+        .collect();
+    (!rows.is_empty()).then_some(rows)
 }
 
-/// Parses the codec rows of the **last** entry in the trajectory file. The
-/// file is the plain pretty-printed array `append_entry` maintains (one codec
-/// row per line), so a line scan of the final `"codecs": [` block suffices —
-/// no JSON parser, no new dependency.
-fn parse_last_entry_codecs(path: &str) -> Option<Vec<BaselineRow>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let start = text.rfind("\"codecs\": [")?;
-    let block = &text[start..];
-    let block = &block[..block.find(']')?];
-    let mut rows = Vec::new();
-    for row in block.lines() {
-        let Some(name) = field_str(row, "\"name\": \"") else { continue };
-        let Some(encode_wps) = field_num(row, "\"encode_writes_per_sec\": ") else { continue };
-        let decode_rps = field_num(row, "\"decode_reads_per_sec\": ");
-        rows.push(BaselineRow { name, encode_wps, decode_rps });
-    }
-    if rows.is_empty() {
-        None
-    } else {
-        Some(rows)
-    }
+/// The serve row of a trajectory entry: (requests/sec, p99 batch latency ms).
+fn entry_serve(entry: &Json) -> Option<(f64, f64)> {
+    let serve = entry.get("serve")?;
+    Some((serve.get("requests_per_sec")?.as_f64()?, serve.get("p99_batch_ms")?.as_f64()?))
 }
 
 /// Fractional regression that fails the `--check` gate (15%).
 const CHECK_REGRESSION_LIMIT: f64 = 0.15;
-
-/// Parses the serve row of the **last** entry in the trajectory file:
-/// (requests/sec, p99 batch latency ms). Same line-scan approach as the
-/// codec rows — the file is the plain array `append_entry` maintains.
-fn parse_last_entry_serve(path: &str) -> Option<(f64, f64)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let start = text.rfind("\"serve\": {")?;
-    let row = &text[start..];
-    let row = &row[..row.find('}')?];
-    Some((field_num(row, "\"requests_per_sec\": ")?, field_num(row, "\"p99_batch_ms\": ")?))
-}
 
 /// The `--check` perf gate: measures the codec suite best-of-3 and compares
 /// every codec's encode/decode throughput against the last trajectory entry.
@@ -639,7 +620,9 @@ fn run_check(
     serve_batches: usize,
     seed: u64,
 ) -> bool {
-    let Some(baseline) = parse_last_entry_codecs(baseline_path) else {
+    // The gate compares against the latest entry that records each row.
+    let entries = trajectory(baseline_path);
+    let Some(baseline) = entries.iter().rev().find_map(entry_codecs) else {
         eprintln!("perfsnap --check: no codec rows found in {baseline_path}");
         return false;
     };
@@ -683,7 +666,7 @@ fn run_check(
     // Serve gate: best-of-3 requests/sec (higher is better) and p99 batch
     // latency (lower is better) against the recorded serve row. Older
     // trajectory files without a serve row simply skip the gate.
-    if let Some((base_rps, base_p99)) = parse_last_entry_serve(baseline_path) {
+    if let Some((base_rps, base_p99)) = entries.iter().rev().find_map(entry_serve) {
         let mut best_rps = 0.0f64;
         let mut best_p99 = f64::INFINITY;
         for _ in 0..3 {
@@ -748,67 +731,7 @@ fn main() {
     println!("perfsnap: codec suite ({iters} writes per scheme)");
     let codec_rows = measure_codec_suite(&lines, &wlc_lines, &energy, iters, true);
 
-    // Batched suite: the same chained workload pushed through
-    // `LineCodec::encode_batch` at 1, 8 and 64 lines per call, for the
-    // schemes that amortise per-batch setup (transition tables, plane
-    // extraction). The 1-line column is the API's fixed overhead; the gap
-    // to the 64-line column is what batching buys the simulator/serve path.
-    const BATCH_SIZES: [usize; 3] = [1, 8, 64];
-    println!("perfsnap: batched suite ({iters} writes per scheme per batch size)");
-    let batch_targets: Vec<(&'static str, Box<dyn LineCodec>)> = vec![
-        ("FlipMin", Box::new(FlipMinCodec::new())),
-        ("FNW", Box::new(FnwCodec::paper_default())),
-        ("DIN", Box::new(DinCodec::new())),
-        ("6cosets", Box::new(NCosetsCodec::six_cosets(Granularity::new(512)))),
-        ("3cosets-16", Box::new(NCosetsCodec::three_cosets(Granularity::new(16)))),
-    ];
-    let mut batched_rows = Vec::new();
-    for (name, codec) in &batch_targets {
-        let codec = codec.as_ref();
-        // Independent jobs: each line written over the chained encoding of
-        // its predecessor, so the stored side carries realistic content.
-        let olds: Vec<PhysicalLine> = {
-            let mut old = codec.initial_line();
-            lines
-                .iter()
-                .map(|l| {
-                    old = codec.encode(l, &old, &energy);
-                    old.clone()
-                })
-                .collect()
-        };
-        let jobs: Vec<(&MemoryLine, &PhysicalLine)> =
-            (0..lines.len()).map(|i| (&lines[(i + 1) % lines.len()], &olds[i])).collect();
-        let mut wps = [0.0f64; BATCH_SIZES.len()];
-        for (slot, &size) in BATCH_SIZES.iter().enumerate() {
-            for chunk in jobs.chunks(size).take(4) {
-                std::hint::black_box(codec.encode_batch(chunk, &energy));
-            }
-            let start = Instant::now();
-            let mut done = 0usize;
-            'timed: loop {
-                for chunk in jobs.chunks(size) {
-                    std::hint::black_box(codec.encode_batch(chunk, &energy));
-                    done += chunk.len();
-                    if done >= iters {
-                        break 'timed;
-                    }
-                }
-            }
-            wps[slot] = done as f64 / start.elapsed().as_secs_f64();
-        }
-        println!(
-            "  {name:<14} 1/call {:>12.0} w/s   8/call {:>12.0} w/s   64/call {:>12.0} w/s   batch64 gain {:.2}x",
-            wps[0],
-            wps[1],
-            wps[2],
-            wps[2] / wps[0]
-        );
-        batched_rows.push((*name, wps));
-    }
-
-    // Plan + stream suites: the full scheme registry over two workloads,
-    // streamed (the default pipeline) and materialised.
+    // Plan suite: the full scheme registry over two workloads.
     println!("perfsnap: plan suite ({plan_lines} lines x 2 workloads x 8 schemes)");
     let build_plan = || {
         // Explicitly store-less: the baseline numbers must not depend on a
@@ -827,19 +750,9 @@ fn main() {
     let streamed_start = Instant::now();
     let streamed = build_plan().run();
     let streamed_ms = streamed_start.elapsed().as_secs_f64() * 1e3;
-    let materialised_start = Instant::now();
-    let materialised = build_plan().materialise_traces(true).run();
-    let materialised_ms = materialised_start.elapsed().as_secs_f64() * 1e3;
     let grid_writes: u64 = streamed.cells.iter().map(|s| s.writes).sum();
-    assert_eq!(
-        grid_writes,
-        materialised.cells.iter().map(|s| s.writes).sum::<u64>(),
-        "streamed and materialised runs must process the same writes"
-    );
     let stream_wps = grid_writes as f64 / (streamed_ms / 1e3);
-    println!(
-        "  streamed {streamed_ms:.0} ms ({stream_wps:.0} w/s)   materialised {materialised_ms:.0} ms"
-    );
+    println!("  streamed {streamed_ms:.0} ms ({stream_wps:.0} w/s)");
 
     // Store suite: the same grid with the persistent result store disabled
     // (the streamed number above), cold (every cell misses and is written
@@ -943,19 +856,8 @@ fn main() {
         entry.push('\n');
     }
     entry.push_str("    ],\n");
-    entry.push_str("    \"batched\": [\n");
-    for (i, (name, wps)) in batched_rows.iter().enumerate() {
-        entry.push_str(&format!(
-            "      {{\"name\": \"{name}\", \"lines_per_call_1_wps\": {:.0}, \"lines_per_call_8_wps\": {:.0}, \"lines_per_call_64_wps\": {:.0}}}{}\n",
-            wps[0],
-            wps[1],
-            wps[2],
-            if i + 1 < batched_rows.len() { "," } else { "" }
-        ));
-    }
-    entry.push_str("    ],\n");
     entry.push_str(&format!(
-        "    \"plan\": {{\"schemes\": 8, \"workloads\": 2, \"lines\": {plan_lines}, \"writes\": {grid_writes}, \"streamed_wall_ms\": {streamed_ms:.1}, \"materialised_wall_ms\": {materialised_ms:.1}, \"streamed_writes_per_sec\": {stream_wps:.0}}},\n"
+        "    \"plan\": {{\"schemes\": 8, \"workloads\": 2, \"lines\": {plan_lines}, \"writes\": {grid_writes}, \"streamed_wall_ms\": {streamed_ms:.1}, \"streamed_writes_per_sec\": {stream_wps:.0}}},\n"
     ));
     entry.push_str(&format!(
         "    \"store\": {{\"disabled_wall_ms\": {streamed_ms:.1}, \"cold_wall_ms\": {store_cold_ms:.1}, \"warm_wall_ms\": {store_warm_ms:.1}, \"warm_speedup\": {warm_speedup:.1}, \"plan_hit_wall_ms\": {store_plan_hit_ms:.2}, \"plan_hit_speedup\": {plan_hit_speedup:.1}}},\n"
@@ -985,5 +887,23 @@ fn main() {
             eprintln!("perfsnap: could not write {out_path}: {err}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_the_committed_trajectory_with_the_shared_json_parser() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json");
+        let entries = trajectory(path);
+        let last = entries.last().expect("BENCH_codec.json holds entries");
+        let codecs = entry_codecs(last).expect("the last entry records codec rows");
+        assert_eq!(codecs.len(), 12);
+        assert!(codecs.iter().all(|row| row.encode_wps > 0.0));
+        let (requests_per_sec, p99_batch_ms) = entry_serve(last).expect("a serve row");
+        assert_eq!(requests_per_sec, 1119.0);
+        assert_eq!(p99_batch_ms, 2.309);
     }
 }

@@ -91,4 +91,18 @@ fn concurrent_workers_partition_the_grid_and_merge_identically() {
     let (computed, _, _, plan_hits) = parse_report(&String::from_utf8_lossy(&out.stderr));
     assert_eq!(computed, 0, "fully warm store: nothing left to simulate");
     assert_eq!(plan_hits, 1, "the whole config is one plan-level read");
+
+    // A warm worker does one store read and exits: nothing — such as the
+    // progress reporter's tick — may hold the process open for a fixed
+    // floor of wall time.
+    let mut wall_ms: Vec<u128> = (0..5)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let out = spawn_worker(&scratch.0).wait_with_output().expect("wait for warm worker");
+            assert!(out.status.success());
+            started.elapsed().as_millis()
+        })
+        .collect();
+    wall_ms.sort_unstable();
+    assert!(wall_ms[2] < 150, "median warm worker wall time {} ms ({wall_ms:?})", wall_ms[2]);
 }

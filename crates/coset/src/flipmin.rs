@@ -12,7 +12,7 @@
 use wlcrc_ecc::coset_masks;
 use wlcrc_pcm::codec::LineCodec;
 use wlcrc_pcm::energy::EnergyModel;
-use wlcrc_pcm::kernel::{self, StatePlanes, SymbolPlanes, TransitionTable, PLANE_WORDS};
+use wlcrc_pcm::kernel::{self, SymbolPlanes, TransitionTable, PLANE_WORDS};
 use wlcrc_pcm::line::MemoryLine;
 use wlcrc_pcm::mapping::SymbolMapping;
 use wlcrc_pcm::physical::{CellClass, PhysicalLine};
@@ -61,29 +61,6 @@ impl FlipMinCodec {
             cost += energy.transition_energy_pj(old.state(cell), target);
         }
         cost
-    }
-
-    /// Bit-parallel encode body against prebuilt plane views and the
-    /// mapping's transition table; [`LineCodec::encode_batch`] builds the
-    /// table once per batch.
-    fn encode_kernel(
-        &self,
-        planes: &SymbolPlanes,
-        stored: &StatePlanes,
-        table: &TransitionTable,
-    ) -> PhysicalLine {
-        let mut best_index = 0usize;
-        let mut best_cost = f64::INFINITY;
-        for (i, mask_planes) in self.mask_planes.iter().enumerate() {
-            let candidate = planes.xor(mask_planes);
-            if let Some(cost) =
-                kernel::block_cost_bounded(&candidate, stored, 0..LINE_CELLS, table, 0.0, best_cost)
-            {
-                best_cost = cost;
-                best_index = i;
-            }
-        }
-        self.write_chosen(&planes.xor(&self.mask_planes[best_index]), best_index, table)
     }
 
     /// Plane-assembled write of the winning candidate: the target planes are
@@ -164,20 +141,20 @@ impl LineCodec for FlipMinCodec {
 
     fn encode(&self, data: &MemoryLine, old: &PhysicalLine, energy: &EnergyModel) -> PhysicalLine {
         assert_eq!(old.len(), self.encoded_cells());
-        let table = TransitionTable::new(&self.mapping, energy);
-        self.encode_kernel(&data.symbol_planes(), &old.state_planes(), &table)
-    }
-
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        let table = TransitionTable::new(&self.mapping, energy);
-        kernel::encode_batch(jobs, |planes, stored, _data, old| {
-            assert_eq!(old.len(), self.encoded_cells());
-            self.encode_kernel(planes, stored, &table)
-        })
+        let table = &TransitionTable::new(&self.mapping, energy);
+        let (planes, stored) = (&data.symbol_planes(), &old.state_planes());
+        let mut best_index = 0usize;
+        let mut best_cost = f64::INFINITY;
+        for (i, mask_planes) in self.mask_planes.iter().enumerate() {
+            let candidate = planes.xor(mask_planes);
+            if let Some(cost) =
+                kernel::block_cost_bounded(&candidate, stored, 0..LINE_CELLS, table, 0.0, best_cost)
+            {
+                best_cost = cost;
+                best_index = i;
+            }
+        }
+        self.write_chosen(&planes.xor(&self.mask_planes[best_index]), best_index, table)
     }
 
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {

@@ -161,8 +161,7 @@ impl NCosetsCodec {
     }
 
     /// One transition table per candidate, on the stack (no heap allocation
-    /// per write). Built once per encode — or once per *batch* by
-    /// [`LineCodec::encode_batch`].
+    /// per write). Built once per encode.
     fn build_tables(&self, energy: &EnergyModel) -> [TransitionTable; MAX_CANDIDATES] {
         let mut tables = [TransitionTable::placeholder(); MAX_CANDIDATES];
         for (table, candidate) in tables.iter_mut().zip(self.set.candidates()) {
@@ -369,17 +368,6 @@ impl LineCodec for NCosetsCodec {
         )
     }
 
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        let tables = self.build_tables(energy);
-        kernel::encode_batch(jobs, |planes, stored, data, old| {
-            self.encode_impl(data, old, energy, Some((planes, stored, &tables)))
-        })
-    }
-
     fn decode(&self, stored: &PhysicalLine) -> MemoryLine {
         assert_eq!(stored.len(), self.encoded_cells());
         // Bit-parallel inverse mapping: one plane transform per candidate
@@ -562,22 +550,6 @@ mod tests {
                     old = enc;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batched_encode_matches_one_at_a_time() {
-        let energy = EnergyModel::paper_default();
-        let mut rng = StdRng::seed_from_u64(95);
-        let codec = NCosetsCodec::six_cosets(Granularity::new(16));
-        let lines: Vec<MemoryLine> = (0..12).map(|_| random_line(&mut rng)).collect();
-        let olds: Vec<PhysicalLine> =
-            lines.iter().map(|l| codec.encode(l, &codec.initial_line(), &energy)).collect();
-        let jobs: Vec<(&MemoryLine, &PhysicalLine)> = lines.iter().zip(olds.iter().rev()).collect();
-        let batched = codec.encode_batch(&jobs, &energy);
-        assert_eq!(batched.len(), jobs.len());
-        for ((data, old), enc) in jobs.iter().zip(&batched) {
-            assert_eq!(*enc, codec.encode(data, old, &energy));
         }
     }
 

@@ -37,7 +37,7 @@
 //! every cell key in that config. A plan key therefore changes exactly when
 //! some cell key changes — salt bumps, codec edits, workload or config
 //! changes all propagate through the cell fingerprints — while inheriting
-//! the same worker/shard/materialise independence. A fully warm rerun is
+//! the same worker/shard independence. A fully warm rerun is
 //! then **one** store read per config instead of N cell reads plus a merge;
 //! a config with any uncacheable (opaque-stream) cell has no plan key.
 

@@ -6,15 +6,28 @@
 //! this workspace) is exactly this shape: a large set of mutually independent
 //! simulations followed by a deterministic merge.
 //!
+//! # One grid executor
+//!
+//! [`ExperimentPlan::run_grid`] and [`ExperimentPlan::run_grid_claimed`] are
+//! thin wrappers over one private executor. It derives the cells' store keys
+//! and probes the plan-level entries once, then hands every pending cell to
+//! one worker pool. A worker serves a cell from the store when it is there;
+//! otherwise it acquires the cell through a *claim strategy*, simulates it
+//! (spreading its intra-trace shards over idle workers), writes it back and
+//! releases it. The per-cell results merge in grid order at the end. The
+//! strategy follows from what the executor can observe: `run_grid_claimed` on
+//! a writable store coordinates through file claims shared with other
+//! processes; everything else (`run_grid`, no store, a read-only store)
+//! computes every miss locally.
+//!
 //! # Streaming pipeline
 //!
 //! Workloads are consumed as [`TraceSource`] streams: profile workloads are
 //! generated lazily (O(working-set) memory, never O(trace-length)), and
 //! custom bounded-memory streams plug in through
-//! [`ExperimentPlan::source`]. The historical materialise-then-run pipeline
-//! survives as an opt-in ([`ExperimentPlan::materialise_traces`], or the
-//! `WLCRC_MATERIALISE` environment variable) and produces byte-identical
-//! results — the CI smoke step diffs the two modes.
+//! [`ExperimentPlan::source`]. Pre-generated traces
+//! ([`ExperimentPlan::trace`]) are replayed through the same streaming
+//! interface.
 //!
 //! # Intra-trace (per-bank) sharding
 //!
@@ -39,10 +52,10 @@
 //! identity (simulator version salt, scheme label + behavioral codec
 //! fingerprint, workload identity, config + geometry, seeds, simulation
 //! options; see [`crate::cache`]) is hashed into the entry address, hits
-//! skip simulation entirely, and misses are written back atomically after
-//! the merge. `WLCRC_STORE_READONLY` serves hits without writing. Results
-//! are **byte-identical with the store disabled, cold, warm, or partially
-//! warm** — worker count, shard count and materialisation mode are excluded
+//! skip simulation entirely, and misses are written back atomically as
+//! soon as they are simulated. `WLCRC_STORE_READONLY` serves hits without
+//! writing. Results are **byte-identical with the store disabled, cold,
+//! warm, or partially warm** — worker count and shard count are excluded
 //! from the key for the same reason they cannot affect results. Bumping the
 //! version salt ([`crate::cache::SIMULATOR_VERSION_SALT`]) makes every old
 //! entry unreachable, forcing recomputation after simulator-behaviour
@@ -51,8 +64,8 @@
 //!
 //! # Determinism guarantee
 //!
-//! Results are **bit-identical for any worker count, shard count and
-//! materialisation mode**. Three rules make that hold:
+//! Results are **bit-identical for any worker count, shard count and claim
+//! strategy**. Three rules make that hold:
 //!
 //! 1. every cell derives its disturbance-sampling seed purely from
 //!    `(base seed, config index, scheme label, workload name)`, and every
@@ -120,10 +133,6 @@ pub const STORE_READONLY_ENV: &str = wlcrc_store::STORE_READONLY_ENV;
 /// per cell (a positive integer). Results are byte-identical for any value.
 pub const INTRA_SHARDS_ENV: &str = "WLCRC_INTRA_SHARDS";
 
-/// Environment variable forcing the opt-in materialise-then-run pipeline
-/// (`1`/`true`). Results are byte-identical to streaming; peak memory is not.
-pub const MATERIALISE_ENV: &str = "WLCRC_MATERIALISE";
-
 type CodecFactoryFn = Arc<dyn Fn() -> Box<dyn LineCodec> + Send + Sync>;
 
 /// A factory building one replayable [`TraceSource`] per invocation; the
@@ -185,7 +194,6 @@ pub struct ExperimentPlan {
     isolated: bool,
     threads: Option<usize>,
     intra_shards: Option<usize>,
-    materialise: Option<bool>,
     store: StoreChoice,
     store_readonly: Option<bool>,
     store_salt: Option<String>,
@@ -210,7 +218,7 @@ impl Default for ExperimentPlan {
 
 impl ExperimentPlan {
     /// Creates an empty plan: Table II config, seed 0, 1000 lines per
-    /// workload, integrity verification on, streaming pipeline.
+    /// workload, integrity verification on.
     pub fn new() -> ExperimentPlan {
         ExperimentPlan {
             schemes: Vec::new(),
@@ -222,7 +230,6 @@ impl ExperimentPlan {
             isolated: false,
             threads: None,
             intra_shards: None,
-            materialise: None,
             store: StoreChoice::Auto,
             store_readonly: None,
             store_salt: None,
@@ -389,15 +396,6 @@ impl ExperimentPlan {
         self
     }
 
-    /// Opts in or out of the historical materialise-then-run pipeline
-    /// (otherwise `WLCRC_MATERIALISE`, otherwise streaming). Materialising
-    /// builds each (workload, seed) trace once and shares it across schemes
-    /// and shards — byte-identical results, O(trace-length) peak memory.
-    pub fn materialise_traces(mut self, materialise: bool) -> ExperimentPlan {
-        self.materialise = Some(materialise);
-        self
-    }
-
     /// Caches cell results in the persistent store at `path` (see
     /// [`crate::cache`] for what addresses a cell). Without this call the
     /// plan still honours the `WLCRC_STORE` environment variable; use
@@ -412,7 +410,7 @@ impl ExperimentPlan {
 
     /// Enables or disables the persistent result store, uniformly with the
     /// plan's other boolean knobs ([`ExperimentPlan::verify_integrity`],
-    /// [`ExperimentPlan::isolated`], [`ExperimentPlan::materialise_traces`]).
+    /// [`ExperimentPlan::isolated`], [`ExperimentPlan::plan_cache`]).
     ///
     /// `store_enabled(false)` never consults a store, even when `WLCRC_STORE`
     /// is set; `store_enabled(true)` restores the default behaviour (an
@@ -421,12 +419,6 @@ impl ExperimentPlan {
     pub fn store_enabled(mut self, enabled: bool) -> ExperimentPlan {
         self.store = if enabled { StoreChoice::Auto } else { StoreChoice::Disabled };
         self
-    }
-
-    /// Never consults a result store, even when `WLCRC_STORE` is set.
-    #[deprecated(since = "0.1.0", note = "use the uniform `store_enabled(false)` instead")]
-    pub fn store_disabled(self) -> ExperimentPlan {
-        self.store_enabled(false)
     }
 
     /// Forces the store read-only (hits are served, misses are not written
@@ -511,187 +503,167 @@ impl ExperimentPlan {
     ///
     /// Panics if the plan has no schemes, workloads, configs or seeds.
     pub fn run_grid(&self) -> Vec<ExperimentResult> {
+        self.execute(None).0
+    }
+
+    /// The one grid executor behind [`ExperimentPlan::run_grid`] (`claim_stale_after`
+    /// `None`) and [`ExperimentPlan::run_grid_claimed`] (`Some`): probe the
+    /// store once, run every pending cell through one worker pool, merge.
+    fn execute(&self, claim_stale_after: Option<u64>) -> (Vec<ExperimentResult>, ClaimedRunReport) {
         assert!(!self.schemes.is_empty(), "plan declares no schemes");
         assert!(!self.workloads.is_empty(), "plan declares no workloads");
         assert!(!self.configs.is_empty(), "plan declares no configs");
         assert!(!self.seeds.is_empty(), "plan declares no seeds");
-        let workers = self.worker_count();
-        let n_workloads = self.workloads.len();
-        let n_schemes = self.schemes.len();
-        let n_seeds = self.seeds.len();
-        let cell_count = self.configs.len() * n_workloads * n_schemes * n_seeds;
-        let shards = self.resolve_intra_shards(cell_count);
+        let cells_per_config = self.workloads.len() * self.schemes.len() * self.seeds.len();
+        let cell_count = self.configs.len() * cells_per_config;
         let max_intensity = self.max_intensity();
 
-        // Phases 0.25/0.5 (optional): consult the persistent result store —
-        // first whole-config plan entries, then per-cell entries. Every
-        // cacheable cell derives a content-addressed key; hits skip
-        // simulation entirely and misses are written back after the merge.
+        // Every cacheable cell derives a content-addressed key; hits skip
+        // simulation entirely and misses are written back once simulated.
         // The cache can never change a result — a hit is the byte-identical
         // record of an identical cell, pinned by the engine tests.
         let store = self.resolve_store();
+        let claims = match (&store, claim_stale_after) {
+            (Some(store), Some(stale_after_secs)) if !store.is_read_only() => {
+                Claims::Files { store, stale_after_secs }
+            }
+            _ => Claims::None,
+        };
         let keys: Vec<Option<CellKey>> = match &store {
             Some(_) => self.cell_keys(cell_count, max_intensity),
             None => (0..cell_count).map(|_| None).collect(),
         };
 
-        // Phase 0.25 (optional): the plan-level cache. Each config's merged
-        // result is cached whole under a key covering every cell fingerprint
-        // in the config, so a fully warm rerun is one store read per config
-        // — it returns here without touching a single per-cell entry. A
-        // config that hits drops out of every later phase.
-        let cells_per_config = n_workloads * n_schemes * n_seeds;
-        let plan_keys: Vec<Option<PlanKey>> = if store.is_some() && self.resolve_plan_cache() {
-            (0..self.configs.len()).map(|config| self.plan_key(config, &keys)).collect()
-        } else {
-            (0..self.configs.len()).map(|_| None).collect()
+        // The plan-level cache: each config's merged result is cached whole
+        // under a key covering every cell fingerprint in the config, so a
+        // fully warm rerun is one store read per config — it returns here
+        // without touching a single per-cell entry. A config that hits
+        // drops out of the worker pool.
+        let plan_keys: Vec<Option<PlanKey>> = (0..self.configs.len())
+            .map(|config| self.plan_key(config, &keys).filter(|_| self.resolve_plan_cache()))
+            .collect();
+        let plan_hits: Vec<Option<ExperimentResult>> = {
+            let _span = wlcrc_obs::span("engine.plan_cache_probe");
+            plan_keys.iter().map(|key| cache::load_plan(store.as_ref()?, key.as_ref()?)).collect()
         };
-        let plan_hits: Vec<Option<ExperimentResult>> = match &store {
-            Some(store) => {
-                let _span = wlcrc_obs::span("engine.plan_cache_probe");
-                plan_keys
-                    .iter()
-                    .map(|key| key.as_ref().and_then(|key| cache::load_plan(store, key)))
-                    .collect()
-            }
-            None => (0..self.configs.len()).map(|_| None).collect(),
+        let mut report = ClaimedRunReport {
+            plan_hits: plan_hits.iter().filter(|hit| hit.is_some()).count(),
+            ..Default::default()
         };
         if plan_hits.iter().all(Option::is_some) {
-            return plan_hits.into_iter().map(|hit| hit.expect("checked all hits")).collect();
+            let results = plan_hits.into_iter().map(|hit| hit.expect("checked all hits")).collect();
+            return (results, report);
         }
 
-        // Phase 0.5 (optional): per-cell store lookups for the configs the
-        // plan cache did not cover. Lookups go through the worker pool too:
-        // a warm grid of thousands of cells is bound by file reads + record
-        // decodes, not simulation, and those are as independent as the cells
-        // themselves.
-        let cached: Vec<Option<SchemeStats>> = match &store {
-            Some(store) => {
-                let _span = wlcrc_obs::span("engine.cell_probe");
-                parallel_tasks(cell_count, workers, |cell| {
-                    if plan_hits[cell / cells_per_config].is_some() {
-                        return None;
-                    }
-                    keys[cell].as_ref().and_then(|key| cache::load_cell(store, key))
-                })
-            }
-            None => (0..cell_count).map(|_| None).collect(),
-        };
-        let miss_cells: Vec<usize> = (0..cell_count)
-            .filter(|&cell| plan_hits[cell / cells_per_config].is_none() && cached[cell].is_none())
+        // Every cell of a missed config goes through one worker pool: served
+        // from the store when it is there, otherwise acquired, simulated,
+        // written back and released. A cell's intra-trace shards run on the
+        // workers the pool leaves idle. Slots are indexed by grid position,
+        // so nothing depends on which worker finished first. Each queue item
+        // carries its retry count so a requeued cell backs off progressively.
+        let pending: VecDeque<(usize, u32)> = (0..cell_count)
+            .filter(|&cell| plan_hits[cell / cells_per_config].is_none())
+            .map(|cell| (cell, 0))
             .collect();
-        let mut miss_slot = vec![usize::MAX; cell_count];
-        for (slot, &cell) in miss_cells.iter().enumerate() {
-            miss_slot[cell] = slot;
-        }
-
-        // Optional phase 0 (opt-in): materialise each (workload, seed) trace
-        // exactly once and share it behind an Arc — the historical pipeline,
-        // byte-identical to streaming but O(trace-length) in memory. Runs
-        // after the store lookup so a warm run generates only the traces its
-        // missed cells will actually replay.
-        let shared: Option<Vec<Option<Arc<Trace>>>> = self.resolve_materialise().then(|| {
-            let _span = wlcrc_obs::span("engine.materialise");
-            let mut needed = vec![false; n_workloads * n_seeds];
-            for &cell in &miss_cells {
-                let seed = cell % n_seeds;
-                let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-                needed[workload * n_seeds + seed] = true;
-            }
-            let pairs: Vec<usize> = (0..needed.len()).filter(|&pair| needed[pair]).collect();
-            let traces = parallel_tasks(pairs.len(), workers, |index| {
-                let (workload, seed) = (pairs[index] / n_seeds, pairs[index] % n_seeds);
-                let source =
-                    self.make_source(&self.workloads[workload], self.seeds[seed], max_intensity);
-                Arc::new(source.collect_trace())
-            });
-            let mut slots: Vec<Option<Arc<Trace>>> = vec![None; n_workloads * n_seeds];
-            for (index, &pair) in pairs.iter().enumerate() {
-                slots[pair] = Some(Arc::clone(&traces[index]));
-            }
-            slots
-        });
-
-        // Phase 1: simulate every (missed cell, intra-trace shard) task. Each
-        // shard replays the cell's stream and simulates only its banks; the
-        // slot index fixes the merge order regardless of which worker runs
-        // what.
-        let simulate_span = wlcrc_obs::span("engine.simulate");
-        let partials: Vec<Vec<BankStats>> =
-            parallel_tasks(miss_cells.len() * shards, workers, |index| {
-                let shard = index % shards;
-                let cell = miss_cells[index / shards];
-                let seed = cell % n_seeds;
-                let scheme = (cell / n_seeds) % n_schemes;
-                let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-                let config = cell / (n_seeds * n_schemes * n_workloads);
-                self.run_cell_shard(
-                    config,
-                    scheme,
-                    workload,
-                    seed,
-                    shard,
-                    shards,
-                    max_intensity,
-                    shared.as_deref(),
-                )
-            });
-        drop(simulate_span);
-
-        // Phase 2: merge each cell's bank partials in ascending bank order —
-        // the one canonical order, whatever the shard count. Cached cells
-        // are used as recorded; cells in plan-hit configs are never built
-        // (their merged result is already in hand).
-        let merge_span = wlcrc_obs::span("engine.merge");
-        let cells: Vec<Option<SchemeStats>> = (0..cell_count)
-            .map(|cell| {
-                if plan_hits[cell / cells_per_config].is_some() {
-                    return None;
+        let (workers, shards) = (self.worker_count(), self.resolve_intra_shards(cell_count));
+        let pool = (workers / shards).clamp(1, pending.len());
+        let pending = Mutex::new(pending);
+        let slots: Mutex<Vec<Option<SchemeStats>>> =
+            Mutex::new((0..cell_count).map(|_| None).collect());
+        let [computed, loaded, taken_over] = [(); 3].map(|_| AtomicUsize::new(0));
+        let serve = |cell: usize, stats: SchemeStats| {
+            slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
+            loaded.fetch_add(1, Ordering::Relaxed);
+            grid_metrics().served.inc();
+        };
+        let worker = |_| {
+            let _span = wlcrc_obs::span("engine.worker");
+            loop {
+                // (A `let`, not a `while let`: the queue lock must drop
+                // before the cell is worked on.)
+                let Some((cell, attempts)) =
+                    pending.lock().expect("queue mutex poisoned").pop_front()
+                else {
+                    break;
+                };
+                let key = keys[cell].as_ref();
+                // Serve-first: a finished cell always wins over any claim
+                // state (a claimant writes the entry before releasing).
+                if let Some(stats) =
+                    store.as_ref().zip(key).and_then(|(s, k)| cache::load_cell(s, k))
+                {
+                    serve(cell, stats);
+                    continue;
                 }
-                if let Some(stats) = &cached[cell] {
-                    return Some(stats.clone());
-                }
-                let scheme = (cell / n_seeds) % n_schemes;
-                let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-                let config = cell / (n_seeds * n_schemes * n_workloads);
-                let slot = miss_slot[cell];
-                let lanes = partials[slot * shards..(slot + 1) * shards].iter().flatten().cloned();
-                Some(merge_bank_stats(
+                // Uncacheable cells cannot travel between processes through
+                // the store, so every process computes them itself.
+                let (claim, took_over) = match key.map(|key| claims.acquire(key, cell)) {
+                    None => (None, false),
+                    Some(Acquired::Compute { claim, took_over }) => (claim, took_over),
+                    Some(Acquired::Served(stats)) => {
+                        serve(cell, stats);
+                        continue;
+                    }
+                    Some(Acquired::Busy) => {
+                        // Someone live is computing this cell: requeue it and
+                        // serve it from the store once the holder's entry
+                        // lands.
+                        pending
+                            .lock()
+                            .expect("queue mutex poisoned")
+                            .push_back((cell, attempts.saturating_add(1)));
+                        std::thread::sleep(claim_backoff(attempts));
+                        continue;
+                    }
+                };
+                // The shards run on the workers the pool leaves idle; their
+                // bank partials merge in ascending bank order — the one
+                // canonical order, whatever the shard count.
+                let lanes = parallel_tasks(shards, (workers / pool).max(1), |shard| {
+                    self.run_cell_shard(cell, shard, shards, max_intensity)
+                });
+                let (config, workload, scheme, _) = self.coordinates(cell);
+                let stats = merge_bank_stats(
                     &self.schemes[scheme].0,
                     self.workloads[workload].name(),
                     self.configs[config].total_banks(),
-                    lanes,
-                ))
-            })
-            .collect();
-        drop(merge_span);
-
-        // Phase 2.5: write the freshly simulated cells back to the store —
-        // through the worker pool, like the lookups, because a cold grid's
-        // write-backs are file encodes + renames, independent per cell.
-        if let Some(store) = &store {
-            let _span = wlcrc_obs::span("engine.store_write_back");
-            let to_write: Vec<usize> =
-                miss_cells.iter().copied().filter(|&cell| keys[cell].is_some()).collect();
-            parallel_tasks(to_write.len(), workers, |index| {
-                let cell = to_write[index];
-                let key = keys[cell].as_ref().expect("filtered to cells with keys");
-                let stats = cells[cell].as_ref().expect("missed cells are in missed configs");
-                cache::save_cell(store, key, stats);
-            });
+                    lanes.into_iter().flatten(),
+                );
+                if let (Some(store), Some(key)) = (&store, key) {
+                    cache::save_cell(store, key, &stats);
+                }
+                if let (Some(store), Some(fp)) = (&store, claim) {
+                    let _ = store.release_claim(fp);
+                }
+                slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
+                computed.fetch_add(1, Ordering::Relaxed);
+                grid_metrics().computed.inc();
+                if took_over {
+                    taken_over.fetch_add(1, Ordering::Relaxed);
+                    grid_metrics().stolen.inc();
+                }
+            }
+        };
+        {
+            let _span = wlcrc_obs::span("engine.simulate");
+            parallel_tasks(pool, pool, worker);
         }
+        report.computed = computed.into_inner();
+        report.loaded = loaded.into_inner();
+        report.taken_over = taken_over.into_inner();
+        let cells = slots.into_inner().expect("slot mutex poisoned");
 
-        // Phase 3: deterministic merge, seed-minor so replicate order is
-        // fixed by the plan, not by scheduling. Plan-hit configs return the
-        // stored merged result verbatim; freshly merged configs write their
-        // plan entry back so the next identical run is one read.
-        self.merge_grid(&cells, &plan_hits, &plan_keys, store.as_ref())
+        // Deterministic merge, seed-minor so replicate order is fixed by the
+        // plan, not by scheduling. Plan-hit configs return the stored merged
+        // result verbatim; freshly merged configs write their plan entry
+        // back so the next identical run is one read.
+        (self.merge_grid(&cells, &plan_hits, &plan_keys, store.as_ref()), report)
     }
 
-    /// The one canonical grid merge (phase 3 of [`ExperimentPlan::run_grid`]
-    /// and of [`ExperimentPlan::run_grid_claimed`]): merges each config's
-    /// per-cell statistics seed-minor in grid order, substitutes plan-level
-    /// hits verbatim, and writes plan entries for freshly merged configs.
+    /// The one canonical grid merge, the executor's last step: merges each
+    /// config's per-cell statistics seed-minor in grid order, substitutes
+    /// plan-level hits verbatim, and writes plan entries for freshly merged
+    /// configs.
     fn merge_grid(
         &self,
         cells: &[Option<SchemeStats>],
@@ -699,7 +671,7 @@ impl ExperimentPlan {
         plan_keys: &[Option<PlanKey>],
         store: Option<&ResultStore>,
     ) -> Vec<ExperimentResult> {
-        let _span = wlcrc_obs::span("engine.merge_grid");
+        let _span = wlcrc_obs::span("engine.merge");
         let n_workloads = self.workloads.len();
         let n_schemes = self.schemes.len();
         let n_seeds = self.seeds.len();
@@ -822,12 +794,7 @@ impl ExperimentPlan {
             .collect();
         (0..cell_count)
             .map(|cell| {
-                let n_seeds = self.seeds.len();
-                let n_schemes = self.schemes.len();
-                let seed = cell % n_seeds;
-                let scheme = (cell / n_seeds) % n_schemes;
-                let workload = (cell / (n_seeds * n_schemes)) % self.workloads.len();
-                let config = cell / (n_seeds * n_schemes * self.workloads.len());
+                let (config, workload, scheme, seed) = self.coordinates(cell);
                 let base_seed = self.seeds[seed];
                 let identity = match &identities[workload] {
                     Identity::Profile { value, name, scaled } => WorkloadIdentity::Profile {
@@ -885,204 +852,26 @@ impl ExperimentPlan {
     /// stale/dead-owner takeover exists for.
     ///
     /// Without a writable store there is nothing to coordinate through:
-    /// the plan falls back to a plain [`ExperimentPlan::run_grid`] and the
-    /// report only counts computed cells.
+    /// the run is a plain [`ExperimentPlan::run_grid`], and the report
+    /// counts what it computed and served.
     pub fn run_grid_claimed(
         &self,
         stale_after_secs: u64,
     ) -> (Vec<ExperimentResult>, ClaimedRunReport) {
-        assert!(!self.schemes.is_empty(), "plan declares no schemes");
-        assert!(!self.workloads.is_empty(), "plan declares no workloads");
-        assert!(!self.configs.is_empty(), "plan declares no configs");
-        assert!(!self.seeds.is_empty(), "plan declares no seeds");
-        let store = match self.resolve_store() {
-            Some(store) if !store.is_read_only() => store,
-            _ => {
-                let results = self.run_grid();
-                let computed = results.iter().map(|r| r.cells.len()).sum();
-                return (results, ClaimedRunReport { computed, ..Default::default() });
-            }
-        };
-        let n_workloads = self.workloads.len();
-        let n_schemes = self.schemes.len();
-        let n_seeds = self.seeds.len();
-        let cells_per_config = n_workloads * n_schemes * n_seeds;
-        let cell_count = self.configs.len() * cells_per_config;
-        let max_intensity = self.max_intensity();
-        let keys = self.cell_keys(cell_count, max_intensity);
-
-        let plan_keys: Vec<Option<PlanKey>> = if self.resolve_plan_cache() {
-            (0..self.configs.len()).map(|config| self.plan_key(config, &keys)).collect()
-        } else {
-            (0..self.configs.len()).map(|_| None).collect()
-        };
-        let plan_hits: Vec<Option<ExperimentResult>> = plan_keys
-            .iter()
-            .map(|key| key.as_ref().and_then(|key| cache::load_plan(&store, key)))
-            .collect();
-        let mut report = ClaimedRunReport {
-            plan_hits: plan_hits.iter().filter(|hit| hit.is_some()).count(),
-            ..Default::default()
-        };
-        if plan_hits.iter().all(Option::is_some) {
-            let results = plan_hits.into_iter().map(|hit| hit.expect("checked all hits")).collect();
-            return (results, report);
-        }
-
-        // Each queue item carries its retry count so requeued cells (claim
-        // held elsewhere) back off progressively instead of spinning.
-        let pending: Mutex<VecDeque<(usize, u32)>> = Mutex::new(
-            (0..cell_count)
-                .filter(|&cell| plan_hits[cell / cells_per_config].is_none())
-                .map(|cell| (cell, 0))
-                .collect(),
-        );
-        let slots: Mutex<Vec<Option<SchemeStats>>> =
-            Mutex::new((0..cell_count).map(|_| None).collect());
-        let computed = AtomicUsize::new(0);
-        let loaded = AtomicUsize::new(0);
-        let taken_over = AtomicUsize::new(0);
-
-        let worker = || {
-            let _worker_span = wlcrc_obs::span("engine.worker");
-            loop {
-                let Some((cell, attempts)) =
-                    pending.lock().expect("queue mutex poisoned").pop_front()
-                else {
-                    break;
-                };
-                let Some(key) = &keys[cell] else {
-                    // Uncacheable cell: the store cannot carry it between
-                    // processes, so every process computes it locally.
-                    let stats = self.compute_cell(cell, max_intensity);
-                    slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                    computed.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().computed.inc();
-                    continue;
-                };
-                // Serve-first: a finished cell always wins over any claim
-                // state (the claimant writes the entry before releasing).
-                if let Some(stats) = cache::load_cell(&store, key) {
-                    slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                    loaded.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().served.inc();
-                    continue;
-                }
-                let fp = Fingerprint::of_value(&key.to_value());
-                // Transient claim-machinery errors get a short bounded
-                // retry before coordination degrades to duplicate work —
-                // an NFS hiccup should not turn a fleet into N full runs.
-                let claim = {
-                    let _span = wlcrc_obs::span_with("engine.claim", || fp.to_hex());
-                    let mut claim = store.try_claim(fp);
-                    for retry in 0..CLAIM_RETRY_ATTEMPTS {
-                        if claim.is_ok() {
-                            break;
-                        }
-                        std::thread::sleep(claim_backoff(retry));
-                        claim = store.try_claim(fp);
-                    }
-                    claim
-                };
-                let took_over = match claim {
-                    Ok(ClaimOutcome::Acquired) => false,
-                    Ok(ClaimOutcome::Held(holder)) => {
-                        let stale = match &holder {
-                            Some(info) => claim_is_stale(info, stale_after_secs),
-                            // Unreadable marker: judge by its file age so a
-                            // claimant that died mid-create still ages out.
-                            None => marker_age_secs(&store.claim_path(fp))
-                                .is_some_and(|age| age > stale_after_secs),
-                        };
-                        if !stale || store.takeover_claim(fp).is_err() {
-                            // Someone live is computing this cell: requeue
-                            // with a progressively longer backoff and let
-                            // the loop serve it from the store once the
-                            // holder's entry lands.
-                            pending
-                                .lock()
-                                .expect("queue mutex poisoned")
-                                .push_back((cell, attempts.saturating_add(1)));
-                            std::thread::sleep(claim_backoff(attempts));
-                            continue;
-                        }
-                        true
-                    }
-                    // Claim machinery unavailable after retries (e.g.
-                    // claims dir not creatable): coordination degrades to
-                    // duplicate work, never to a missing result.
-                    Err(_) => false,
-                };
-                // Chaos hook: die *while holding the claim* — the injected
-                // equivalent of `kill -9` mid-compute. The marker is left
-                // behind for surviving or later workers to judge stale
-                // (dead same-host pid) and take over. Inert without an
-                // explicit WLCRC_FAULTS plan.
-                if wlcrc_faults::should_fire(FAULT_CLAIM_CRASH) {
-                    eprintln!(
-                        "wlcrc_faults: injected worker crash holding claim {} (cell {cell})",
-                        fp.to_hex()
-                    );
-                    std::process::exit(CLAIM_CRASH_EXIT_CODE);
-                }
-                // Double-check under the claim: the previous holder may have
-                // finished (entry written, claim released) between our lookup
-                // above and the claim acquisition, and its entry must win.
-                if let Some(stats) = cache::load_cell(&store, key) {
-                    let _ = store.release_claim(fp);
-                    slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                    loaded.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().served.inc();
-                    continue;
-                }
-                let stats = self.compute_cell(cell, max_intensity);
-                cache::save_cell(&store, key, &stats);
-                let _ = store.release_claim(fp);
-                slots.lock().expect("slot mutex poisoned")[cell] = Some(stats);
-                computed.fetch_add(1, Ordering::Relaxed);
-                grid_metrics().computed.inc();
-                if took_over {
-                    taken_over.fetch_add(1, Ordering::Relaxed);
-                    grid_metrics().stolen.inc();
-                }
-            }
-        };
-        let workers = self.worker_count().clamp(1, cell_count.max(1));
-        if workers == 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
-
-        report.computed = computed.into_inner();
-        report.loaded = loaded.into_inner();
-        report.taken_over = taken_over.into_inner();
-        let cells = slots.into_inner().expect("slot mutex poisoned");
-        let results = self.merge_grid(&cells, &plan_hits, &plan_keys, Some(&store));
-        (results, report)
+        self.execute(Some(stale_after_secs))
     }
 
-    /// Simulates one whole grid cell (single shard) — the claimed runner's
-    /// unit of work, byte-identical to the sharded path by the engine's
-    /// determinism rules.
-    fn compute_cell(&self, cell: usize, max_intensity: f64) -> SchemeStats {
+    /// A flat grid position as (config, workload, scheme, seed) indices —
+    /// workload-major, then scheme, then seed within each config.
+    fn coordinates(&self, cell: usize) -> (usize, usize, usize, usize) {
         let n_seeds = self.seeds.len();
         let n_schemes = self.schemes.len();
         let n_workloads = self.workloads.len();
-        let seed = cell % n_seeds;
-        let scheme = (cell / n_seeds) % n_schemes;
-        let workload = (cell / (n_seeds * n_schemes)) % n_workloads;
-        let config = cell / (n_seeds * n_schemes * n_workloads);
-        let lanes = self.run_cell_shard(config, scheme, workload, seed, 0, 1, max_intensity, None);
-        merge_bank_stats(
-            &self.schemes[scheme].0,
-            self.workloads[workload].name(),
-            self.configs[config].total_banks(),
-            lanes,
+        (
+            cell / (n_seeds * n_schemes * n_workloads),
+            (cell / (n_seeds * n_schemes)) % n_workloads,
+            (cell / n_seeds) % n_schemes,
+            cell % n_seeds,
         )
     }
 
@@ -1114,16 +903,11 @@ impl ExperimentPlan {
     /// The plan-level store fingerprint of every config on the axis (`None`
     /// for configs containing uncacheable cells). Exposed so tests — and
     /// operators debugging cache behaviour — can check two plans will share
-    /// plan entries without running either: worker, shard and materialise
-    /// knobs must never move these, while salt, scheme, workload, seed and
+    /// plan entries without running either: worker and shard knobs must
+    /// never move these, while salt, scheme, workload, seed and
     /// config edits must.
     pub fn plan_fingerprints(&self) -> Vec<Option<Fingerprint>> {
-        let cell_count =
-            self.configs.len() * self.workloads.len() * self.schemes.len() * self.seeds.len();
-        let keys = self.cell_keys(cell_count, self.max_intensity());
-        (0..self.configs.len())
-            .map(|config| self.plan_key(config, &keys).map(|key| key.fingerprint()))
-            .collect()
+        self.plan_keys().into_iter().map(|key| key.map(|key| key.fingerprint())).collect()
     }
 
     /// The per-cell store fingerprints behind each config's plan key, in
@@ -1132,12 +916,15 @@ impl ExperimentPlan {
     /// diffing it against a stored entry names exactly which cells moved —
     /// the `storectl why` plan-cache-miss post-mortem.
     pub fn plan_cell_fingerprints(&self) -> Vec<Option<Vec<Fingerprint>>> {
+        self.plan_keys().into_iter().map(|key| key.map(|key| key.cells)).collect()
+    }
+
+    /// Every config's plan key, derived from the full grid's cell keys.
+    fn plan_keys(&self) -> Vec<Option<PlanKey>> {
         let cell_count =
             self.configs.len() * self.workloads.len() * self.schemes.len() * self.seeds.len();
         let keys = self.cell_keys(cell_count, self.max_intensity());
-        (0..self.configs.len())
-            .map(|config| self.plan_key(config, &keys).map(|key| key.cells))
-            .collect()
+        (0..self.configs.len()).map(|config| self.plan_key(config, &keys)).collect()
     }
 
     /// Human-readable labels for one config's cell positions, in the same
@@ -1158,21 +945,17 @@ impl ExperimentPlan {
 
     /// Runs one intra-trace shard of one grid cell, returning the per-bank
     /// partial statistics of the banks this shard owns.
-    #[allow(clippy::too_many_arguments)]
     fn run_cell_shard(
         &self,
-        config_index: usize,
-        scheme_index: usize,
-        workload_index: usize,
-        seed_index: usize,
+        cell: usize,
         shard: usize,
         shards: usize,
         max_intensity: f64,
-        shared: Option<&[Option<Arc<Trace>>]>,
     ) -> Vec<BankStats> {
-        let (label, codec_source) = &self.schemes[scheme_index];
-        let workload = &self.workloads[workload_index];
-        let base_seed = self.seeds[seed_index];
+        let (config, workload, scheme, seed) = self.coordinates(cell);
+        let (label, codec_source) = &self.schemes[scheme];
+        let workload = &self.workloads[workload];
+        let base_seed = self.seeds[seed];
         let _span = wlcrc_obs::span_with("engine.cell", || {
             let mut cell_label = format!("{label}×{}×seed{base_seed}", workload.name());
             if shards > 1 {
@@ -1180,29 +963,18 @@ impl ExperimentPlan {
             }
             cell_label
         });
-        let simulator = Simulator::with_config(self.configs[config_index].clone()).with_options(
-            SimulationOptions {
-                seed: cell_seed(base_seed, config_index, label, workload.name()),
+        let simulator =
+            Simulator::with_config(self.configs[config].clone()).with_options(SimulationOptions {
+                seed: cell_seed(base_seed, config, label, workload.name()),
                 verify_integrity: self.verify_integrity,
                 sample_disturbance: true,
-            },
-        );
+            });
         codec_source.with_codec(|codec| {
-            let run = |source: Box<dyn TraceSource + Send + '_>| {
-                if self.isolated {
-                    simulator.run_isolated_shard(codec, source, shard, shards)
-                } else {
-                    simulator.run_shard(codec, source, shard, shards)
-                }
-            };
-            match shared {
-                Some(traces) => {
-                    let trace = traces[workload_index * self.seeds.len() + seed_index]
-                        .as_ref()
-                        .expect("trace materialised for every missed cell");
-                    run(Box::new(trace.source()))
-                }
-                None => run(self.make_source(workload, base_seed, max_intensity)),
+            let source = self.make_source(workload, base_seed, max_intensity);
+            if self.isolated {
+                simulator.run_isolated_shard(codec, source, shard, shards)
+            } else {
+                simulator.run_shard(codec, source, shard, shards)
             }
         })
     }
@@ -1226,18 +998,6 @@ impl ExperimentPlan {
             return 1;
         }
         (self.worker_count() / cell_count).clamp(1, max_banks)
-    }
-
-    /// Resolves the materialisation mode: explicit override, then
-    /// `WLCRC_MATERIALISE`, then streaming (off).
-    fn resolve_materialise(&self) -> bool {
-        if let Some(materialise) = self.materialise {
-            return materialise;
-        }
-        std::env::var(MATERIALISE_ENV).is_ok_and(|value| {
-            let value = value.trim();
-            ["1", "true", "yes", "on"].iter().any(|accepted| value.eq_ignore_ascii_case(accepted))
-        })
     }
 }
 
@@ -1313,6 +1073,90 @@ fn claim_backoff(attempt: u32) -> Duration {
 fn marker_age_secs(path: &std::path::Path) -> Option<u64> {
     let modified = std::fs::metadata(path).ok()?.modified().ok()?;
     Some(modified.elapsed().unwrap_or_default().as_secs())
+}
+
+/// How a grid worker acquires a cell the store could not serve. The executor
+/// picks the strategy from what it can observe; a strategy decides only who
+/// computes a cell, never what the cell holds.
+enum Claims<'a> {
+    /// No coordination: every miss is computed here.
+    None,
+    /// `O_EXCL` claim markers in a writable store shared with other
+    /// processes ([`ExperimentPlan::run_grid_claimed`]).
+    Files { store: &'a ResultStore, stale_after_secs: u64 },
+}
+
+/// What acquiring a cell came to.
+enum Acquired {
+    /// Compute the cell here, then release `claim` (if any).
+    Compute { claim: Option<Fingerprint>, took_over: bool },
+    /// Another process finished the cell meanwhile: use its entry.
+    Served(SchemeStats),
+    /// A live worker elsewhere holds the cell: retry later.
+    Busy,
+}
+
+impl Claims<'_> {
+    fn acquire(&self, key: &CellKey, cell: usize) -> Acquired {
+        let Claims::Files { store, stale_after_secs } = *self else {
+            return Acquired::Compute { claim: None, took_over: false };
+        };
+        let fp = Fingerprint::of_value(&key.to_value());
+        // Transient claim-machinery errors get a short bounded retry before
+        // coordination degrades to duplicate work — an NFS hiccup should
+        // not turn a fleet into N full runs.
+        let claim = {
+            let _span = wlcrc_obs::span_with("engine.claim", || fp.to_hex());
+            let mut claim = store.try_claim(fp);
+            for retry in 0..CLAIM_RETRY_ATTEMPTS {
+                if claim.is_ok() {
+                    break;
+                }
+                std::thread::sleep(claim_backoff(retry));
+                claim = store.try_claim(fp);
+            }
+            claim
+        };
+        let took_over = match claim {
+            Ok(ClaimOutcome::Acquired) => false,
+            Ok(ClaimOutcome::Held(holder)) => {
+                let stale = match &holder {
+                    Some(info) => claim_is_stale(info, stale_after_secs),
+                    // Unreadable marker: judge by its file age so a claimant
+                    // that died mid-create still ages out.
+                    None => marker_age_secs(&store.claim_path(fp))
+                        .is_some_and(|age| age > stale_after_secs),
+                };
+                if !stale || store.takeover_claim(fp).is_err() {
+                    return Acquired::Busy;
+                }
+                true
+            }
+            // Claim machinery unavailable after retries (e.g. claims dir not
+            // creatable): coordination degrades to duplicate work, never to
+            // a missing result.
+            Err(_) => return Acquired::Compute { claim: None, took_over: false },
+        };
+        // Chaos hook: die *while holding the claim* — the injected
+        // equivalent of `kill -9` mid-compute. The marker is left behind for
+        // surviving or later workers to judge stale (dead same-host pid) and
+        // take over. Inert without an explicit WLCRC_FAULTS plan.
+        if wlcrc_faults::should_fire(FAULT_CLAIM_CRASH) {
+            eprintln!(
+                "wlcrc_faults: injected worker crash holding claim {} (cell {cell})",
+                fp.to_hex()
+            );
+            std::process::exit(CLAIM_CRASH_EXIT_CODE);
+        }
+        // Double-check under the claim: the previous holder may have
+        // finished (entry written, claim released) between the caller's
+        // lookup and the claim acquisition, and its entry must win.
+        if let Some(stats) = cache::load_cell(store, key) {
+            let _ = store.release_claim(fp);
+            return Acquired::Served(stats);
+        }
+        Acquired::Compute { claim: Some(fp), took_over }
+    }
 }
 
 /// Resolves the worker count: explicit override, then `WLCRC_THREADS`, then
@@ -1465,20 +1309,27 @@ mod tests {
 
     #[test]
     fn streamed_and_materialised_pipelines_are_byte_identical() {
-        // All twelve standard workloads, streamed vs materialised, sharded
+        // All twelve standard workloads, streamed from their profiles vs
+        // replayed from pre-generated traces of the same records, sharded
         // and not: four executions of the same grid, one result.
         let plan = || {
             ExperimentPlan::new()
                 .store_enabled(false)
                 .seed(5)
                 .lines_per_workload(30)
-                .workloads(Benchmark::ALL.iter().map(|b| b.profile()))
                 .scheme("Baseline", || Box::new(RawCodec::new()))
         };
-        let streamed = plan().materialise_traces(false).run();
-        let materialised = plan().materialise_traces(true).run();
-        let streamed_sharded = plan().materialise_traces(false).intra_trace_shards(4).run();
-        let materialised_sharded = plan().materialise_traces(true).intra_trace_shards(4).run();
+        let profiles = || plan().workloads(Benchmark::ALL.iter().map(|b| b.profile()));
+        let streaming = profiles();
+        let traces: Vec<Arc<Trace>> = (streaming.workloads.iter())
+            .map(|w| {
+                Arc::new(streaming.make_source(w, 5, streaming.max_intensity()).collect_trace())
+            })
+            .collect();
+        let streamed = streaming.run();
+        let materialised = plan().traces(traces.clone()).run();
+        let streamed_sharded = profiles().intra_trace_shards(4).run();
+        let materialised_sharded = plan().traces(traces).intra_trace_shards(4).run();
         assert_eq!(streamed, materialised);
         assert_eq!(streamed, streamed_sharded);
         assert_eq!(streamed, materialised_sharded);
@@ -1665,13 +1516,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_store_disabled_matches_store_enabled_false() {
-        // The legacy spelling must stay byte-equivalent until it is removed.
-        assert_eq!(small_plan().run(), small_plan().store_disabled().run());
-    }
-
-    #[test]
     fn store_disabled_cold_and_warm_runs_are_byte_identical() {
         let scratch = Scratch::new("cold-warm");
         let plan = || small_plan().seeds([3, 4]).threads(2);
@@ -1760,7 +1604,6 @@ mod tests {
         // results, so they must not fragment the cache).
         assert_eq!(base, small_plan().threads(7).plan_fingerprints());
         assert_eq!(base, small_plan().intra_trace_shards(4).plan_fingerprints());
-        assert_eq!(base, small_plan().materialise_traces(true).plan_fingerprints());
         // Identity edits must move it.
         assert_ne!(base, small_plan().seed(4).plan_fingerprints());
         assert_ne!(base, small_plan().lines_per_workload(41).plan_fingerprints());

@@ -162,14 +162,13 @@ impl Simulator {
         let organization = MemoryOrganization::new(&self.config);
         let mut lanes: Vec<Option<BankLane>> = Vec::new();
         lanes.resize_with(organization.total_banks(), || None);
-        let energy = &self.config.energy;
         for record in &mut source {
             let bank = organization.bank_index(record.address);
             if bank % shards != shard {
                 continue;
             }
             let lane = lanes[bank].get_or_insert_with(|| BankLane::new(self.options.seed, bank));
-            lane.feed(codec, &record, energy, &self.config, &self.options, tracking);
+            lane.feed(codec, &record, &self.config, &self.options, tracking);
         }
         lanes
             .into_iter()
@@ -269,59 +268,16 @@ impl SimulatorSession {
         let seed = self.options.seed;
         let options = self.effective_options();
         let lane = self.lanes[bank].get_or_insert_with(|| BankLane::new(seed, bank));
-        lane.feed(
-            self.codec.as_ref(),
-            record,
-            &self.config.energy,
-            &self.config,
-            &options,
-            Tracking::Stored,
-        );
+        lane.feed(self.codec.as_ref(), record, &self.config, &options, Tracking::Stored);
         self.writes += 1;
     }
 
-    /// Feeds a batch, grouped by bank lane for locality: all records of bank
-    /// 0 first, then bank 1, and so on, each lane preserving the batch's
-    /// arrival order. Within a lane, maximal runs of distinct addresses are
-    /// encoded through [`LineCodec::encode_batch`], so codecs that hoist
-    /// their transition-table setup pay it once per run instead of once per
-    /// record. Statistics are byte-identical to feeding the batch record by
-    /// record — encoding is pure, and every side effect (RNG draws,
-    /// integrity checks, accumulation, insertion) still happens per record
-    /// in the lane's arrival order.
+    /// Feeds a batch of write records in order — exactly
+    /// [`write`](SimulatorSession::write) per record, so statistics are
+    /// byte-identical however a stream is chunked.
     pub fn write_batch(&mut self, records: &[WriteRecord]) {
-        if records.len() < 2 {
-            for record in records {
-                self.write(record);
-            }
-            return;
-        }
-        let options = self.effective_options();
-        // Stable sort of record indices by bank keeps arrival order per lane.
-        let banks: Vec<usize> =
-            records.iter().map(|r| self.organization.bank_index(r.address)).collect();
-        let mut order: Vec<u32> = (0..records.len() as u32).collect();
-        order.sort_by_key(|&i| banks[i as usize]);
-        let mut start = 0usize;
-        while start < order.len() {
-            let bank = banks[order[start] as usize];
-            let mut end = start;
-            while end < order.len() && banks[order[end] as usize] == bank {
-                end += 1;
-            }
-            let lane_records: Vec<&WriteRecord> =
-                order[start..end].iter().map(|&k| &records[k as usize]).collect();
-            let seed = self.options.seed;
-            let lane = self.lanes[bank].get_or_insert_with(|| BankLane::new(seed, bank));
-            lane.feed_batch(
-                self.codec.as_ref(),
-                &lane_records,
-                &self.config.energy,
-                &self.config,
-                &options,
-            );
-            self.writes += lane_records.len() as u64;
-            start = end;
+        for record in records {
+            self.write(record);
         }
     }
 
@@ -417,11 +373,11 @@ impl BankLane {
         &mut self,
         codec: &dyn LineCodec,
         record: &WriteRecord,
-        energy: &wlcrc_pcm::energy::EnergyModel,
         config: &PcmConfig,
         options: &SimulationOptions,
         tracking: Tracking,
     ) {
+        let energy = &config.energy;
         let old = match tracking {
             Tracking::Stored => self
                 .stored
@@ -445,71 +401,6 @@ impl BankLane {
         self.stats.record(outcome, disturbance, encoded, integrity_ok);
         if tracking == Tracking::Stored {
             self.stored.insert(record.address, new);
-        }
-    }
-
-    /// Feeds one lane's arrival-order slice of a batch, batch-encoding
-    /// maximal runs of *distinct* addresses through
-    /// [`LineCodec::encode_batch`] (within such a run no record's encoding
-    /// depends on another's outcome, so the encodes are independent).
-    /// Byte-identical to calling [`BankLane::feed`] per record: encoding is
-    /// pure, and the side effects — disturbance RNG draws, integrity
-    /// checks, statistics accumulation and stored-line insertion — run per
-    /// record in arrival order after each run's encodes.
-    fn feed_batch(
-        &mut self,
-        codec: &dyn LineCodec,
-        records: &[&WriteRecord],
-        energy: &wlcrc_pcm::energy::EnergyModel,
-        config: &PcmConfig,
-        options: &SimulationOptions,
-    ) {
-        let initial = codec.initial_line();
-        let mut seen: std::collections::HashSet<u64> =
-            std::collections::HashSet::with_capacity(records.len().min(64));
-        let mut start = 0usize;
-        while start < records.len() {
-            seen.clear();
-            let mut end = start;
-            while end < records.len() && seen.insert(records[end].address) {
-                end += 1;
-            }
-            let run = &records[start..end];
-            // Stored content per record: take what the lane holds, then
-            // batch-encode the first-touch misses against the initial line.
-            let mut olds: Vec<Option<PhysicalLine>> =
-                run.iter().map(|r| self.stored.remove(&r.address)).collect();
-            let miss_jobs: Vec<(&wlcrc_pcm::line::MemoryLine, &PhysicalLine)> = run
-                .iter()
-                .zip(&olds)
-                .filter(|(_, old)| old.is_none())
-                .map(|(r, _)| (&r.old, &initial))
-                .collect();
-            if !miss_jobs.is_empty() {
-                let mut encoded = codec.encode_batch(&miss_jobs, energy).into_iter();
-                for slot in olds.iter_mut().filter(|o| o.is_none()) {
-                    *slot = encoded.next();
-                }
-            }
-            let olds: Vec<PhysicalLine> =
-                olds.into_iter().map(|o| o.expect("every miss was filled")).collect();
-            let new_jobs: Vec<(&wlcrc_pcm::line::MemoryLine, &PhysicalLine)> =
-                run.iter().zip(&olds).map(|(r, old)| (&r.new, old)).collect();
-            let news = codec.encode_batch(&new_jobs, energy);
-            for ((record, old), new) in run.iter().zip(&olds).zip(news) {
-                let outcome = differential_write(old, &new, energy);
-                let disturbance = if options.sample_disturbance {
-                    evaluate_disturbance(old, &new, &config.disturbance, &mut self.rng)
-                } else {
-                    wlcrc_pcm::disturb::DisturbanceOutcome::default()
-                };
-                let encoded = new.aux_cells() > 0 || codec.encoded_cells() == new.len();
-                let integrity_ok =
-                    if options.verify_integrity { codec.decode(&new) == record.new } else { true };
-                self.stats.record(outcome, disturbance, encoded, integrity_ok);
-                self.stored.insert(record.address, new);
-            }
-            start = end;
         }
     }
 }
@@ -688,7 +579,7 @@ mod tests {
         }
         assert_eq!(session.stats(), batch);
         assert_eq!(session.writes(), 300);
-        // Chunked into uneven batches (write_batch regroups by bank).
+        // Chunked into uneven batches.
         let mut chunked = sim.session(Box::new(RawCodec::new()), trace.workload.clone());
         let records: Vec<WriteRecord> = trace.iter().copied().collect();
         for chunk in records.chunks(37) {

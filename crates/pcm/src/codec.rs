@@ -77,23 +77,6 @@ pub trait LineCodec: Send + Sync {
     fn initial_line(&self) -> PhysicalLine {
         PhysicalLine::all_reset(self.encoded_cells())
     }
-
-    /// Encodes a batch of independent `(data, old)` jobs, returning one
-    /// encoded line per job in order.
-    ///
-    /// The default simply calls [`LineCodec::encode`] per job, so every codec
-    /// gets the API for free and batching is always byte-identical to
-    /// one-at-a-time encoding. Kernelised codecs override this to build their
-    /// per-energy transition tables once per batch instead of once per line,
-    /// which is where the amortisation the batched write paths
-    /// (`SimulatorSession::write_batch`, the serve lanes) rely on comes from.
-    fn encode_batch(
-        &self,
-        jobs: &[(&MemoryLine, &PhysicalLine)],
-        energy: &EnergyModel,
-    ) -> Vec<PhysicalLine> {
-        jobs.iter().map(|&(data, old)| self.encode(data, old, energy)).collect()
-    }
 }
 
 /// The baseline scheme: the 512 data bits are stored through the default

@@ -147,43 +147,18 @@ pub fn evaluate_disturbance<R: Rng + ?Sized>(
     outcome
 }
 
-/// Computes only the expected number of disturbance errors (no sampling).
-///
-/// # Panics
-///
-/// Panics if the two lines have a different number of cells.
-pub fn expected_disturbance(
-    old: &PhysicalLine,
-    new: &PhysicalLine,
-    model: &DisturbanceModel,
-) -> f64 {
-    // A tiny deterministic RNG would still sample; instead reuse the main
-    // routine with a counting RNG is unnecessary — recompute directly.
-    assert_eq!(old.len(), new.len());
-    let written = changed_cell_indices(old, new);
-    let mut is_written = vec![false; new.len()];
-    for &i in &written {
-        is_written[i] = true;
-    }
-    let mut expected = 0.0;
-    for &w in &written {
-        let neighbours = [w.checked_sub(1), if w + 1 < new.len() { Some(w + 1) } else { None }];
-        for n in neighbours.into_iter().flatten() {
-            if is_written[n] {
-                continue;
-            }
-            expected += model.rate(new.state(n));
-        }
-    }
-    expected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::physical::CellClass;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The exact expected error count of one write (the sample is ignored).
+    fn expected(old: &PhysicalLine, new: &PhysicalLine, model: &DisturbanceModel) -> f64 {
+        let mut rng = StdRng::seed_from_u64(0);
+        evaluate_disturbance(old, new, model, &mut rng).expected_total_errors()
+    }
 
     #[test]
     fn no_writes_no_disturbance() {
@@ -203,8 +178,7 @@ mod tests {
         old.set_state(2, CellState::S2);
         let mut new = old.clone();
         new.set_state(1, CellState::S4); // write the middle cell
-        let expected = expected_disturbance(&old, &new, &model);
-        assert_eq!(expected, 0.0);
+        assert_eq!(expected(&old, &new, &model), 0.0);
     }
 
     #[test]
@@ -215,8 +189,7 @@ mod tests {
         old.set_state(2, CellState::S1);
         let mut new = old.clone();
         new.set_state(1, CellState::S2);
-        let expected = expected_disturbance(&old, &new, &model);
-        assert!((expected - (0.276 + 0.123)).abs() < 1e-12);
+        assert!((expected(&old, &new, &model) - (0.276 + 0.123)).abs() < 1e-12);
     }
 
     #[test]
@@ -228,7 +201,7 @@ mod tests {
         new.set_state(1, CellState::S4);
         new.set_state(2, CellState::S4);
         // Every cell is written; nothing is idle.
-        assert_eq!(expected_disturbance(&old, &new, &model), 0.0);
+        assert_eq!(expected(&old, &new, &model), 0.0);
     }
 
     #[test]

@@ -274,19 +274,17 @@ fn worker_loop(shared: &Shared) {
 /// when the backlog reaches zero.
 fn drain(inner: &mut SessionInner, shared: &Shared, limit: usize) -> usize {
     let mut simulated = 0;
-    let mut chunk: Vec<WriteRecord> = Vec::new();
     for bank in 0..inner.queues.len() {
-        // Pop the lane's share of the budget as one contiguous chunk and
-        // feed it through the session's batched write path, so the codec's
-        // per-batch setup (transition tables, plane extraction) amortises
-        // across the lane's queued records.
+        // Feed the lane's share of the budget in FIFO order. Lanes never
+        // interact, so lane-by-lane draining is byte-identical to feeding
+        // the records in arrival order.
         let take = inner.queues[bank].len().min(limit - simulated);
         if take == 0 {
             continue;
         }
-        chunk.clear();
-        chunk.extend(inner.queues[bank].drain(..take));
-        inner.sim.write_batch(&chunk);
+        for record in inner.queues[bank].drain(..take) {
+            inner.sim.write(&record);
+        }
         inner.backlog -= take;
         simulated += take;
         if simulated >= limit {

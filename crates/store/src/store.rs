@@ -510,20 +510,27 @@ impl ResultStore {
     /// the pre-timestamp journal format (bare hex) count as time 0; eviction
     /// falls back to the entry file's mtime in that case.
     pub fn last_uses(&self) -> HashMap<Fingerprint, u64> {
-        let mut out = HashMap::new();
-        let Ok(journal) = fs::read_to_string(self.root.join(HITS_LOG)) else {
-            return out;
-        };
-        for line in journal.lines() {
+        self.scan_hits_log().map(|(_, last)| last).unwrap_or_default()
+    }
+
+    /// One streaming pass over the journal: its line count and the last hit
+    /// per fingerprint. The journal grows by one line per warm cell read
+    /// until compaction, so it is never held in memory whole.
+    fn scan_hits_log(&self) -> std::io::Result<(usize, HashMap<Fingerprint, u64>)> {
+        let journal = std::io::BufReader::new(fs::File::open(self.root.join(HITS_LOG))?);
+        let (mut lines, mut last) = (0, HashMap::new());
+        for line in std::io::BufRead::lines(journal) {
+            let line = line?;
+            lines += 1;
             let mut tokens = line.split_whitespace();
             let Some(fingerprint) = tokens.next().and_then(Fingerprint::from_hex) else {
                 continue;
             };
             let ts: u64 = tokens.next().and_then(|t| t.parse().ok()).unwrap_or(0);
-            let slot = out.entry(fingerprint).or_insert(0);
+            let slot = last.entry(fingerprint).or_insert(0);
             *slot = ts.max(*slot);
         }
-        out
+        Ok((lines, last))
     }
 
     /// Rewrites the journal down to one `<fingerprint> <last-hit>` line per
@@ -535,15 +542,14 @@ impl ResultStore {
         if self.readonly {
             return Ok(0);
         }
-        let path = self.root.join(HITS_LOG);
-        let journal = match fs::read_to_string(&path) {
-            Ok(journal) => journal,
+        let (before, last) = match self.scan_hits_log() {
+            Ok(scan) => scan,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(0),
             Err(err) => return Err(err.into()),
         };
-        let before = journal.lines().count();
+        let path = self.root.join(HITS_LOG);
         let mut last: Vec<(u64, Fingerprint)> =
-            self.last_uses().into_iter().map(|(fingerprint, ts)| (ts, fingerprint)).collect();
+            last.into_iter().map(|(fingerprint, ts)| (ts, fingerprint)).collect();
         last.sort();
         let mut compacted = String::with_capacity(last.len() * 44);
         for (ts, fingerprint) in &last {
@@ -570,11 +576,7 @@ impl ResultStore {
         if meta.len() < HITS_COMPACT_THRESHOLD as u64 * MIN_HIT_LINE_BYTES {
             return;
         }
-        let lines = match fs::read_to_string(&path) {
-            Ok(journal) => journal.lines().count(),
-            Err(_) => return,
-        };
-        if lines > HITS_COMPACT_THRESHOLD {
+        if self.scan_hits_log().is_ok_and(|(lines, _)| lines > HITS_COMPACT_THRESHOLD) {
             let _ = self.compact_hits_log();
         }
     }

@@ -5,54 +5,15 @@
 //! bits) in fixed-size stack storage. The only heap allocations a steady-state
 //! `encode()` may perform are the two `Vec`s (states + classes) backing the
 //! returned `PhysicalLine` — this test counts allocations through a wrapping
-//! global allocator and pins exactly that.
+//! global allocator and pins exactly that. A steady-state simulator write is
+//! pinned whole the same way.
 //!
-//! The allocation counter is process-global, so every `#[test]` below
-//! serialises on [`SERIAL`] — concurrent tests would otherwise inflate each
-//! other's counts.
+//! Counts are per thread (see [`alloc_counter`]), so the tests need no
+//! serialisation and repeat exactly.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+mod alloc_counter;
 
-/// Serialises the measuring tests; the harness runs tests on concurrent
-/// threads and the counter cannot distinguish allocators.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialised() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to the system allocator; the counter update has
-// no safety implications.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
+use alloc_counter::allocations_during;
 
 /// The workload shared by the measuring tests below.
 fn workload() -> Vec<wlcrc_repro::pcm::line::MemoryLine> {
@@ -83,7 +44,6 @@ fn encode_allocates_only_the_returned_line() {
     use wlcrc_repro::pcm::prelude::EnergyModel;
     use wlcrc_repro::wlcrc::WlcCosetCodec;
 
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     // Mixed content: WLC-compressible words so WLCRC takes its encoded path,
     // and varied values so candidate searches do real work.
@@ -130,7 +90,6 @@ fn din_encode_allocation_profile_is_pinned() {
     use wlcrc_repro::pcm::codec::LineCodec;
     use wlcrc_repro::pcm::prelude::EnergyModel;
 
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     let codec = DinCodec::new();
     let lines = workload();
@@ -175,61 +134,12 @@ fn din_encode_allocation_profile_is_pinned() {
 const DIN_STEADY_STATE_ALLOCS: u64 = 48;
 
 #[test]
-fn batched_encode_allocates_only_the_returned_lines() {
-    use wlcrc_repro::coset::{FlipMinCodec, FnwCodec, Granularity, NCosetsCodec};
-    use wlcrc_repro::pcm::codec::LineCodec;
-    use wlcrc_repro::pcm::line::MemoryLine;
-    use wlcrc_repro::pcm::prelude::{EnergyModel, PhysicalLine};
-
-    let _guard = serialised();
-    let energy = EnergyModel::paper_default();
-    let lines = workload();
-    let codecs: Vec<(Box<dyn LineCodec>, &str)> = vec![
-        (Box::new(NCosetsCodec::three_cosets(Granularity::new(16))), "3cosets-16"),
-        (Box::new(FnwCodec::paper_default()), "FNW"),
-        (Box::new(FlipMinCodec::new()), "FlipMin"),
-    ];
-    for (codec, name) in &codecs {
-        // Build a pool of independent jobs: each line written over the
-        // chained encoding of its predecessor.
-        let olds: Vec<PhysicalLine> = {
-            let mut old = codec.initial_line();
-            lines
-                .iter()
-                .map(|l| {
-                    old = codec.encode(l, &old, &energy);
-                    old.clone()
-                })
-                .collect()
-        };
-        let jobs: Vec<(&MemoryLine, &PhysicalLine)> =
-            (0..64).map(|i| (&lines[(i + 1) % lines.len()], &olds[i % olds.len()])).collect();
-        // Warm-up, then pin: a batch of N lines may allocate exactly
-        // 1 + 2N times — the returned Vec plus each returned PhysicalLine's
-        // two backing vectors. Transition tables, plane views and candidate
-        // search state all live on the stack, so batching adds nothing
-        // per line beyond the lines themselves.
-        let _ = codec.encode_batch(&jobs, &energy);
-        for n in [1usize, 8, 64] {
-            let (allocs, out) = allocations_during(|| codec.encode_batch(&jobs[..n], &energy));
-            assert_eq!(out.len(), n);
-            assert_eq!(
-                allocs,
-                1 + 2 * n as u64,
-                "{name}: batch of {n} must allocate only the returned lines"
-            );
-        }
-    }
-}
-
-#[test]
 fn decode_stays_allocation_lean() {
     use wlcrc_repro::coset::{Granularity, NCosetsCodec, RestrictedCosetCodec};
     use wlcrc_repro::pcm::codec::LineCodec;
     use wlcrc_repro::pcm::line::MemoryLine;
     use wlcrc_repro::pcm::prelude::EnergyModel;
 
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     let data = MemoryLine::from_words([0x0123_4567_89AB_CDEF; 8]);
     for codec in [
@@ -243,3 +153,62 @@ fn decode_stays_allocation_lean() {
         assert!(allocs <= 1, "decode of {} allocated {allocs} times", codec.name());
     }
 }
+
+#[test]
+fn steady_state_session_writes_allocate_a_pinned_amount() {
+    use wlcrc_repro::memsim::Simulator;
+    use wlcrc_repro::trace::WriteRecord;
+    use wlcrc_repro::wlcrc::schemes::standard_schemes;
+
+    let lines = workload();
+    // Pass `pass` writes line `(slot + pass) % 16` to slot `slot`: the same
+    // 16 addresses every pass, so after the first pass every write replaces
+    // a stored line and the lanes' maps never grow.
+    let pass = |pass: usize| -> Vec<WriteRecord> {
+        (0..lines.len())
+            .map(|slot| {
+                let old = lines[(slot + pass + lines.len() - 1) % lines.len()];
+                WriteRecord::new(slot as u64 * 64, old, lines[(slot + pass) % lines.len()])
+            })
+            .collect()
+    };
+    let pins = standard_schemes().into_iter().zip(STEADY_STATE_SESSION_ALLOCS);
+    for ((id, codec), (label, pinned)) in pins {
+        assert_eq!(id.label(), label, "pins follow the standard scheme order");
+        // One session fed record by record, one fed through `write_batch`
+        // (a loop over `write`): both must allocate the pinned amount.
+        let mut single = Simulator::new().session(codec, "alloc");
+        let mut batched = Simulator::new().session(id.build(), "alloc");
+        for warm_up in 0..2 {
+            for record in &pass(warm_up) {
+                single.write(record);
+            }
+            batched.write_batch(&pass(warm_up));
+        }
+        let records = pass(2);
+        let (allocs, _) = allocations_during(|| {
+            for record in &records {
+                single.write(record);
+            }
+        });
+        let (batch_allocs, _) = allocations_during(|| batched.write_batch(&records));
+        assert_eq!(allocs, pinned, "{label}: allocations over 16 steady-state session writes");
+        assert_eq!(batch_allocs, pinned, "{label}: allocations of the same writes as one batch");
+        assert_eq!(single.stats(), batched.stats());
+    }
+}
+
+/// Allocations of one steady-state pass of 16 `SimulatorSession::write`
+/// calls to already-stored addresses, per standard scheme in figure order:
+/// each write's encode, differential write, disturbance walk and verify
+/// decode.
+const STEADY_STATE_SESSION_ALLOCS: [(&str, u64); 8] = [
+    ("Baseline", 160),
+    ("FlipMin", 160),
+    ("FNW", 159),
+    ("DIN", 175),
+    ("6cosets", 160),
+    ("COC+4cosets", 175),
+    ("WLC+4cosets", 126),
+    ("WLCRC-16", 127),
+];

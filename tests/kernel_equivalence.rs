@@ -143,42 +143,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_encode_matches_one_at_a_time(
-        lines in prop::collection::vec(arb_biased_line(), 1..20),
-        chunk in 1usize..9,
-        energy in arb_energy(),
-    ) {
-        let codecs: Vec<Box<dyn LineCodec>> = vec![
-            Box::new(NCosetsCodec::six_cosets(Granularity::new(512))),
-            Box::new(FnwCodec::paper_default()),
-            Box::new(FlipMinCodec::new()),
-            Box::new(DinCodec::new()),
-        ];
-        for codec in &codecs {
-            // Independent jobs: each line paired with the chained encoding of
-            // its predecessors, so stored content is realistic and distinct.
-            let mut olds = Vec::with_capacity(lines.len());
-            let mut old = codec.initial_line();
-            for line in &lines {
-                old = codec.encode(line, &old, &energy);
-                olds.push(old.clone());
-            }
-            let jobs: Vec<(&MemoryLine, &PhysicalLine)> =
-                lines.iter().rev().zip(olds.iter()).collect();
-            for piece in jobs.chunks(chunk) {
-                let batch = codec.encode_batch(piece, &energy);
-                prop_assert_eq!(batch.len(), piece.len());
-                for ((data, stored), enc) in piece.iter().zip(&batch) {
-                    prop_assert_eq!(
-                        &codec.encode(data, stored, &energy), enc,
-                        "{}: batched encode diverged from one-at-a-time", codec.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn wlc_coset_kernel_matches_scalar(a in arb_biased_line(), b in arb_biased_line(),
                                        g in prop::sample::select(vec![8usize, 16, 32, 64]),
                                        energy in arb_energy()) {

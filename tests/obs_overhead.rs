@@ -3,54 +3,14 @@
 //! The contract of `wlcrc_obs` is that with `WLCRC_TRACE` unset the whole
 //! tracing layer is inert: opening a span is one relaxed atomic load, label
 //! closures never run, and *nothing* allocates. This test pins that by
-//! counting heap allocations (through the same wrapping global allocator as
-//! `tests/hotpath_alloc.rs`) around an encode loop instrumented exactly the
-//! way the engine instruments its hot paths — the instrumented loop must
+//! counting heap allocations (through the same per-thread counting allocator
+//! as `tests/hotpath_alloc.rs`) around an encode loop instrumented exactly
+//! the way the engine instruments its hot paths — the instrumented loop must
 //! allocate precisely what the uninstrumented encode itself allocates.
-//!
-//! The allocation counter is process-global, so the measuring tests
-//! serialise on [`SERIAL`].
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+mod alloc_counter;
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialised() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to the system allocator; the counter update has
-// no safety implications.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
-}
+use alloc_counter::allocations_during;
 
 /// The tests below only hold with tracing off; under an externally set
 /// `WLCRC_TRACE` the layer is *supposed* to work (and allocate).
@@ -63,7 +23,6 @@ fn disabled_obs_layer_allocates_nothing() {
     if tracing_is_externally_enabled() {
         return;
     }
-    let _guard = serialised();
     // Metric handles are created (and leaked, once) up front, the way the
     // engine and store hold them in LazyLock statics.
     let counter = wlcrc_repro::obs::registry().counter("wlcrc_test_obs_overhead_total");
@@ -97,7 +56,6 @@ fn instrumented_encode_loop_allocates_exactly_the_encode() {
     if tracing_is_externally_enabled() {
         return;
     }
-    let _guard = serialised();
     let energy = EnergyModel::paper_default();
     let codec = WlcCosetCodec::wlcrc16();
     let lines: Vec<MemoryLine> = (0..16)

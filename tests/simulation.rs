@@ -135,25 +135,38 @@ fn simulator_is_reproducible_across_runs() {
 fn streaming_pipeline_matches_materialised_baseline_for_every_scheme() {
     // The end-to-end acceptance criterion of the streaming refactor: for
     // every standard scheme over all twelve standard workloads, the streamed
-    // bank-sharded pipeline must be byte-identical to the materialised
-    // sequential baseline at WLCRC_THREADS ∈ {1, 4} and 1 vs 4 intra-trace
-    // bank-partitions.
+    // bank-sharded pipeline must be byte-identical to a sequential baseline
+    // over pre-generated (materialised) traces of the same records at
+    // WLCRC_THREADS ∈ {1, 4} and 1 vs 4 intra-trace bank-partitions.
+    use std::sync::Arc;
+    use wlcrc_repro::memsim::{scaled_workload_lines, workload_stream_seed, ExperimentPlan};
+    use wlcrc_repro::trace::{Trace, TraceSource, TraceStream};
+    let (seed, lines) = (42, 40);
+    let profiles = WorkloadProfile::all_benchmarks();
+    let max_intensity = profiles.iter().map(|p| p.write_intensity).fold(1.0, f64::max);
+    let traces: Vec<Arc<Trace>> = profiles
+        .iter()
+        .map(|profile| {
+            let stream = TraceStream::new(
+                profile.clone(),
+                workload_stream_seed(seed, &profile.name),
+                scaled_workload_lines(lines, profile, max_intensity),
+            );
+            Arc::new(stream.collect_trace())
+        })
+        .collect();
     let build = || {
-        let mut plan = wlcrc_repro::memsim::ExperimentPlan::new()
-            .store_enabled(false)
-            .seed(42)
-            .lines_per_workload(40)
-            .workloads(wlcrc_repro::trace::WorkloadProfile::all_benchmarks());
-        for (id, factory) in wlcrc_repro::wlcrc::schemes::standard_factories() {
-            plan = plan.scheme_factory(id.label(), factory);
-        }
-        plan
+        let plan = ExperimentPlan::new().store_enabled(false).seed(seed).lines_per_workload(lines);
+        (wlcrc_repro::wlcrc::schemes::standard_factories().into_iter())
+            .fold(plan, |plan, (id, factory)| plan.scheme_factory(id.label(), factory))
     };
-    let baseline = build().threads(1).intra_trace_shards(1).materialise_traces(true).run();
+    let streamed = || build().workloads(profiles.clone());
+    let materialised = || build().traces(traces.clone());
+    let baseline = materialised().threads(1).intra_trace_shards(1).run();
     let variants = [
-        build().threads(1).intra_trace_shards(1).materialise_traces(false).run(),
-        build().threads(4).intra_trace_shards(4).materialise_traces(false).run(),
-        build().threads(4).intra_trace_shards(4).materialise_traces(true).run(),
+        streamed().threads(1).intra_trace_shards(1).run(),
+        streamed().threads(4).intra_trace_shards(4).run(),
+        materialised().threads(4).intra_trace_shards(4).run(),
     ];
     for (i, variant) in variants.iter().enumerate() {
         assert_eq!(&baseline, variant, "variant {i} diverged from the sequential baseline");
